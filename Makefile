@@ -7,18 +7,24 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TIMEOUT ?= 300
 TIMEOUT_OPTS = --timeout=$(TIMEOUT)
 
-.PHONY: check check-fast test test-fast test-recovery test-detect test-remote test-fleet test-flows soak perf-smoke lint compile bench bench-figures
+.PHONY: check check-fast test test-fast test-kernel test-recovery test-detect test-remote test-fleet test-flows soak perf-smoke lint compile bench bench-figures
 
 check: lint test test-recovery test-remote test-fleet test-flows compile
 
 # Fast loop: skip the slow-marked full-figure/table benchmarks.
-check-fast: lint test-fast perf-smoke compile
+check-fast: lint test-kernel test-fast perf-smoke compile
 
 test:
 	$(PYTHON) -m pytest -x -q $(TIMEOUT_OPTS)
 
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow and not perf" $(TIMEOUT_OPTS) tests benchmarks
+
+# Feature-kernel guard (a few seconds): the numpy stencils match
+# scipy.ndimage bit for bit, feature digests match the pinned ones, and
+# a cold `repro run` works with scipy blocked. Also part of test-fast.
+test-kernel:
+	$(PYTHON) -m pytest -x -q $(TIMEOUT_OPTS) tests/test_video_features_kernel.py tests/test_cold_imports.py
 
 # The error-control suite by itself (ARQ/FEC/feedback/chaos-feedback).
 test-recovery:

@@ -13,6 +13,8 @@ aggregation, cross-process single-flight, adaptive cliff-seeking
 sampling, and a warm-store query service.
 """
 
+import importlib
+
 from repro.core.experiment import ExperimentSpec, ExperimentResult, run_experiment
 from repro.core.faults import FailureRecord, RetryPolicy
 from repro.core.runner import (
@@ -25,28 +27,41 @@ from repro.core.runner import (
     spec_fingerprint,
 )
 from repro.core.resultstore import ResultStore, default_cache_dir
-from repro.core.journal import SweepJournal, sweep_fingerprint
-from repro.core.sweep import (
-    SweepFailure,
-    SweepPoint,
-    SweepResult,
-    sweep_specs,
-    token_rate_sweep,
-    validate_grid,
-)
-from repro.core.campaign import (
-    CampaignProgress,
-    CampaignScheduler,
-    CampaignService,
-    SweepAggregator,
-    adaptive_token_rate_sweep,
-)
 from repro.core.analysis import (
     find_quality_cutoff,
     nonlinearity_index,
     empirical_burst_excess,
 )
 from repro.core.report import render_table, render_sweep, render_rate_series
+
+#: Re-exported on first use (PEP 562): the journal, sweep and campaign
+#: layers (fleet, remote, asyncio) cost a one-shot ``repro run`` import
+#: time it never uses. ``from repro.core import X`` works as before.
+_LAZY = {
+    "SweepJournal": "repro.core.journal",
+    "sweep_fingerprint": "repro.core.journal",
+    "SweepFailure": "repro.core.sweep",
+    "SweepPoint": "repro.core.sweep",
+    "SweepResult": "repro.core.sweep",
+    "sweep_specs": "repro.core.sweep",
+    "token_rate_sweep": "repro.core.sweep",
+    "validate_grid": "repro.core.sweep",
+    "CampaignProgress": "repro.core.campaign",
+    "CampaignScheduler": "repro.core.campaign",
+    "CampaignService": "repro.core.campaign",
+    "SweepAggregator": "repro.core.campaign",
+    "adaptive_token_rate_sweep": "repro.core.campaign",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ExperimentSpec",

@@ -39,6 +39,10 @@ point.
 ``1``
     Batch even singleton qualifying units (test/bench knob — it
     guarantees the batch lane actually ran).
+
+Both knobs, like ``REPRO_FLOWPATH`` of :mod:`repro.flows.multipath`,
+read unset or empty as ``auto`` and reject any other value with a
+:class:`ValueError` naming the variable (:func:`lane_mode`).
 """
 
 from __future__ import annotations
@@ -125,12 +129,29 @@ class FastlaneStats:
 stats = FastlaneStats()
 
 
+#: Values a lane knob accepts; unset or empty means ``auto``.
+LANE_MODES = ("auto", "0", "1")
+
+
+def lane_mode(env_var: str) -> str:
+    """Value of a lane knob: ``"auto"``, ``"0"`` or ``"1"``.
+
+    Unset or empty reads as ``auto``; case and surrounding blanks are
+    ignored. Anything else raises :class:`ValueError` naming the
+    variable, so a typo cannot silently select ``auto``.
+    """
+    mode = os.environ.get(env_var, "").strip().lower() or "auto"
+    if mode not in LANE_MODES:
+        raise ValueError(
+            f"{env_var}={os.environ[env_var]!r} is not a lane mode; "
+            f"use one of {', '.join(LANE_MODES)} or leave it unset"
+        )
+    return mode
+
+
 def fastpath_mode() -> str:
     """Current override mode: ``"auto"``, ``"0"``, or ``"1"``."""
-    mode = os.environ.get(FASTPATH_ENV, "auto").strip().lower()
-    if mode in ("0", "1"):
-        return mode
-    return "auto"
+    return lane_mode(FASTPATH_ENV)
 
 
 def qualifies_for_fastpath(spec: ExperimentSpec) -> bool:
@@ -181,10 +202,7 @@ def use_fastpath(spec: ExperimentSpec) -> bool:
 
 def batchpath_mode() -> str:
     """Current batch-coalescing mode: ``"auto"``, ``"0"``, or ``"1"``."""
-    mode = os.environ.get(BATCHPATH_ENV, "auto").strip().lower()
-    if mode in ("0", "1"):
-        return mode
-    return "auto"
+    return lane_mode(BATCHPATH_ENV)
 
 
 def qualifies_for_batch(spec: ExperimentSpec) -> bool:

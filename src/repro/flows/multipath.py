@@ -38,13 +38,12 @@ traffic), ``0`` forces the engine lane, ``1`` raises
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from repro.core.fastlane import result_from_session, run_fastpath
+from repro.core.fastlane import lane_mode, result_from_session, run_fastpath
 from repro.core.runner import ResultSummary
 from repro.diffserv.policer import PolicerStats
 from repro.flows.aggregate import (
@@ -90,10 +89,7 @@ class FlowpathUnsupported(RuntimeError):
 
 def flowpath_mode() -> str:
     """Current override mode: ``"auto"``, ``"0"``, or ``"1"``."""
-    mode = os.environ.get(FLOWPATH_ENV, "auto").strip().lower()
-    if mode in ("0", "1"):
-        return mode
-    return "auto"
+    return lane_mode(FLOWPATH_ENV)
 
 
 def qualifies_for_flowpath(agg: AggregateSpec) -> bool:

@@ -125,6 +125,40 @@ def encode_clip(
     return encoded
 
 
+def _feature_key(
+    clip_name: str, codec: Optional[str], rate_bps: Optional[float]
+) -> tuple[tuple, Optional[EncodedClip]]:
+    """Cache key of a clip version, and its encoding (``None`` for the source)."""
+    if codec is None:
+        return (clip_name, None, None), None
+    encoded = encode_clip(clip_name, codec, rate_bps)
+    return (clip_name, codec, round(encoded.target_rate_bps)), encoded
+
+
+def _clip_versions(clip_name: str, versions: Iterable[tuple]) -> list[FrameFeatures]:
+    """Cached features of ``(codec, rate_bps)`` versions of one clip.
+
+    Every version not yet cached is built in one rendering pass of the
+    clip (:meth:`FrameFeatures.extract`).
+    """
+    keyed = [_feature_key(clip_name, codec, rate_bps) for codec, rate_bps in versions]
+    found = [_feature_cache.get(key) for key, _ in keyed]
+    if None in found:
+        with _cache_lock:
+            missing: dict[tuple, Optional[EncodedClip]] = {}
+            for key, encoded in keyed:
+                if key not in _feature_cache:
+                    missing[key] = encoded
+            if missing:
+                built = FrameFeatures.extract(
+                    get_script(clip_name),
+                    [None if e is None else e.quantizer_track() for e in missing.values()],
+                )
+                _feature_cache.update(zip(missing, built))
+            found = [_feature_cache[key] for key, _ in keyed]
+    return found
+
+
 def clip_features(
     clip_name: str,
     codec: Optional[str] = None,
@@ -137,29 +171,7 @@ def clip_features(
     encoding — degraded by the codec's quantizer track — which is what
     a client that received every packet would display.
     """
-    if codec is None:
-        key = (clip_name, None, None)
-        features = _feature_cache.get(key)
-        if features is None:
-            with _cache_lock:
-                features = _feature_cache.get(key)
-                if features is None:
-                    features = FrameFeatures.extract(get_script(clip_name))
-                    _feature_cache[key] = features
-        return features
-    encoded = encode_clip(clip_name, codec, rate_bps)
-    key = (clip_name, codec, round(encoded.target_rate_bps))
-    features = _feature_cache.get(key)
-    if features is None:
-        with _cache_lock:
-            features = _feature_cache.get(key)
-            if features is None:
-                features = FrameFeatures.extract(
-                    get_script(clip_name),
-                    degradation=encoded.quantizer_track(),
-                )
-                _feature_cache[key] = features
-    return features
+    return _clip_versions(clip_name, [(codec, rate_bps)])[0]
 
 
 def warm_clip_caches(entries: Iterable[tuple]) -> None:
@@ -167,15 +179,16 @@ def warm_clip_caches(entries: Iterable[tuple]) -> None:
 
     A triple with ``codec=None`` warms the pristine reference features;
     otherwise both the encoding and its degraded feature streams are
-    built. Intended for process-pool initializers, so every worker pays
-    the encode cost once up front instead of per experiment; concurrent
-    calls are safe.
+    built. Triples are grouped by clip, and the versions of one clip
+    missing from the cache are built in one rendering pass. Intended
+    for process-pool initializers, so every worker pays the encode cost
+    once up front instead of per experiment; concurrent calls are safe.
     """
+    by_clip: dict[str, list[tuple]] = {}
     for clip_name, codec, rate_bps in entries:
-        if codec is None:
-            clip_features(clip_name)
-        else:
-            clip_features(clip_name, codec, rate_bps)
+        by_clip.setdefault(clip_name, []).append((codec, rate_bps))
+    for clip_name, versions in by_clip.items():
+        _clip_versions(clip_name, versions)
 
 
 def clear_caches() -> None:

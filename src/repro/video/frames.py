@@ -20,22 +20,34 @@ quantization noise, with strength driven by the codec model's
 quantizer track. Extracting features from degraded frames gives the
 encoding-quality floor seen in the paper's fixed-reference
 experiments.
+
+The stencils are plain numpy. :func:`sobel` and :func:`box_blur`
+reproduce ``scipy.ndimage.sobel`` and ``uniform_filter(size=(1, 3,
+3))`` in ``nearest`` mode bit for bit on non-negative float32 stacks:
+the same passes in the same axis order, the same float64 operations
+in the same order, each pass rounded to float32.
+:meth:`FrameFeatures.extract` renders a clip once for all the versions
+asked of it: each scene is rendered, blurred and given its degradation
+noise once and every version shares them, and one Sobel pass per
+version and scene serves both SI and HV.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.video.scenes import Scene, SceneScript
 
 #: Internal analysis resolution (luma). Chroma is subsampled 2x.
 FRAME_HEIGHT = 48
 FRAME_WIDTH = 64
+
+#: Seed of the quantization-noise stream every degraded version draws.
+DEGRADATION_SEED = 7
 
 
 def _scene_rng(script_name: str, scene_id: int) -> np.random.Generator:
@@ -84,26 +96,34 @@ class FrameRenderer:
         omega1 = 0.05 + 0.45 * scene.motion
         omega2 = 0.08 + 0.6 * scene.motion
 
-        g1 = np.sin(
-            2 * np.pi * f1 * (np.cos(angle1) * xx + np.sin(angle1) * yy)
-            + omega1 * t
+        # Built in place, one float64 operation at a time in the order of
+        # ``brightness + amp1 * g1 + amp2 * g2 + noise``.
+        y = np.add(
+            2 * np.pi * f1 * (np.cos(angle1) * xx + np.sin(angle1) * yy),
+            omega1 * t,
         )
-        g2 = np.sin(
-            2 * np.pi * f2 * (np.cos(angle2) * xx - np.sin(angle2) * yy)
-            - omega2 * t
+        np.sin(y, out=y)
+        g2 = np.subtract(
+            2 * np.pi * f2 * (np.cos(angle2) * xx - np.sin(angle2) * yy),
+            omega2 * t,
         )
+        np.sin(g2, out=g2)
         amp1 = 0.22 * (0.3 + 0.7 * scene.spatial_detail)
         amp2 = 0.13 * (0.3 + 0.7 * scene.spatial_detail)
-        noise = rng.standard_normal((n, h, w)).astype(np.float32) * 0.015
-        y = scene.brightness + amp1 * g1 + amp2 * g2 + noise
-        np.clip(y, 0.0, 1.0, out=y)
+        y *= amp1
+        y += scene.brightness
+        g2 *= amp2
+        y += g2
+        y += rng.standard_normal((n, h, w)).astype(np.float32) * 0.015
+        luma = np.empty(y.shape, dtype=np.float32)
+        np.clip(y, 0.0, 1.0, out=luma, casting="same_kind")
 
         ch, cw = h // 2, w // 2
         u = np.full((n, ch, cw), 0.5 + scene.chroma_u, dtype=np.float32)
         v = np.full((n, ch, cw), 0.5 + scene.chroma_v, dtype=np.float32)
         u += rng.standard_normal((n, ch, cw)).astype(np.float32) * 0.01
         v += rng.standard_normal((n, ch, cw)).astype(np.float32) * 0.01
-        return y.astype(np.float32), u, v
+        return luma, u, v
 
     def render_frame(self, frame_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Render a single frame (used by exactness tests)."""
@@ -124,29 +144,137 @@ class FrameRenderer:
             yield scene, y, u, v
 
 
+# ----------------------------------------------------------------------
+# numpy stencils, bit for bit those of scipy.ndimage in ``nearest`` mode
+# ----------------------------------------------------------------------
+
+def _taps(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left, centre and right views along an axis padded by one sample each side."""
+    n = a.shape[axis] - 2
+    views = []
+    for start in (0, 1, 2):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(start, start + n)
+        views.append(a[tuple(index)])
+    return views[0], views[1], views[2]
+
+
+def _smooth(a: np.ndarray, axis: int) -> np.ndarray:
+    """``[1, 2, 1]`` pass along a padded axis, rounded to float32.
+
+    ``ndimage.correlate1d`` folds the symmetric kernel to ``2c + (l +
+    r)`` in float64. ``c + c`` is exact in float32 and addition
+    commutes, so ``(l + r) + 2c`` below is the same float64 number.
+    """
+    left, centre, right = _taps(a, axis)
+    acc = np.add(left, right, dtype=np.float64)
+    acc += centre + centre
+    return acc.astype(np.float32)
+
+
+def _sobel_padded(padded: np.ndarray, axis: int) -> np.ndarray:
+    """Sobel derivative along ``axis`` of an edge-padded stack (see :func:`sobel`)."""
+    left, _, right = _taps(padded, axis)
+    grad = np.subtract(right, left)
+    for other in range(padded.ndim):
+        if other != axis:
+            grad = _smooth(grad, other)
+    return grad
+
+
+def sobel(y: np.ndarray, axis: int) -> np.ndarray:
+    """``ndimage.sobel(y, axis, mode="nearest")`` of a non-negative float32 stack.
+
+    A derivative pass ``x[k+1] - x[k-1]`` along ``axis`` in float32 —
+    the float64 difference rounded once to float32 is the same number,
+    since 53 >= 2*24 + 2 — then a ``[1, 2, 1]`` pass over each other
+    axis in increasing order, time included. Padding every axis by one
+    edge sample up front is ``nearest`` mode for every pass.
+    """
+    return _sobel_padded(np.pad(y, 1, mode="edge"), axis)
+
+
+def _running_mean3(a: np.ndarray, axis: int) -> np.ndarray:
+    """3-tap mean along a padded axis, as ``ndimage.uniform_filter1d`` computes it.
+
+    A float64 running sum — the first window added up from 0.0, then
+    ``+= entering - leaving`` — divided by 3 at every output, rounded
+    to float32. Dividing the increments by 3 before summing would round
+    differently. The sum runs one output index at a time, vectorized
+    over the other axes.
+    """
+    lines = np.moveaxis(a, axis, 0)
+    out = np.empty((lines.shape[0] - 2,) + lines.shape[1:], dtype=np.float32)
+    total = np.zeros(lines.shape[1:], dtype=np.float64)
+    total += lines[0]
+    total += lines[1]
+    total += lines[2]
+    np.divide(total, 3.0, out=out[0], casting="same_kind")
+    step = np.empty_like(total)
+    for k in range(1, out.shape[0]):
+        np.subtract(lines[k + 2], lines[k - 1], out=step, dtype=np.float64)
+        total += step
+        np.divide(total, 3.0, out=out[k], casting="same_kind")
+    return np.moveaxis(out, 0, axis)
+
+
+def box_blur(y: np.ndarray) -> np.ndarray:
+    """``ndimage.uniform_filter(y, size=(1, 3, 3), mode="nearest")`` of a float32 stack.
+
+    Rows first, then columns. The row pass keeps the padded columns,
+    which are then the ``nearest`` padding of the column pass.
+    """
+    padded = np.pad(y, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    return _running_mean3(_running_mean3(padded, 1), 2)
+
+
 def degrade_stack(
     y: np.ndarray,
     strength: np.ndarray,
-    rng: np.random.Generator,
+    blurred: np.ndarray,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """Apply codec-style degradation to a luma stack.
 
     ``strength`` is per-frame in [0, 1]: 0 = transparent coding, 1 =
-    coarsest quantization. Degradation blends toward a blurred frame
-    (loss of spatial detail) and injects quantization noise.
+    coarsest quantization. Degradation blends toward ``blurred``
+    (:func:`box_blur` of ``y``: loss of spatial detail) and injects
+    quantization noise scaled from ``noise``, a float32 standard-normal
+    draw of ``y``'s shape.
     """
     if strength.shape[0] != y.shape[0]:
         raise ValueError("one strength value per frame required")
     s = np.clip(strength, 0.0, 1.0).astype(np.float32)[:, None, None]
-    blurred = ndimage.uniform_filter(y, size=(1, 3, 3), mode="nearest")
-    noise = rng.standard_normal(y.shape).astype(np.float32)
-    degraded = (1.0 - 0.8 * s) * y + 0.8 * s * blurred + 0.03 * s * noise
-    return np.clip(degraded, 0.0, 1.0).astype(np.float32)
+    degraded = (1.0 - 0.8 * s) * y
+    degraded += 0.8 * s * blurred
+    degraded += 0.03 * s * noise
+    return np.clip(degraded, 0.0, 1.0, out=degraded)
 
 
 # ----------------------------------------------------------------------
 # feature extraction
 # ----------------------------------------------------------------------
+
+def edge_features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SI and HV per frame from one Sobel pass.
+
+    SI is :func:`spatial_information`. HV is the ratio of
+    horizontal/vertical edge energy to total edge energy, an ANSI
+    T1.801.03-style edge-orientation feature: blur shifts edge energy
+    away from crisp H/V structure.
+    """
+    padded = np.pad(y, 1, mode="edge")
+    gx = _sobel_padded(padded, 2)
+    gy = _sobel_padded(padded, 1)
+    magnitude = np.sqrt(gx * gx + gy * gy)
+    si = magnitude.std(axis=(1, 2))
+    angle = np.arctan2(np.abs(gy), np.abs(gx))
+    # "HV" energy: gradient within 0.225 rad of an axis.
+    hv_mask = (angle < 0.225) | (angle > np.pi / 2 - 0.225)
+    magnitude += 1e-9
+    hv = (magnitude * hv_mask).sum(axis=(1, 2)) / magnitude.sum(axis=(1, 2))
+    return si, hv
+
 
 def spatial_information(y: np.ndarray) -> np.ndarray:
     """SI feature per frame: std of the Sobel gradient magnitude.
@@ -154,27 +282,7 @@ def spatial_information(y: np.ndarray) -> np.ndarray:
     This is the classic ITU-T P.910 / ANSI T1.801.03 spatial
     information measure.
     """
-    gx = ndimage.sobel(y, axis=2, mode="nearest")
-    gy = ndimage.sobel(y, axis=1, mode="nearest")
-    magnitude = np.sqrt(gx * gx + gy * gy)
-    return magnitude.std(axis=(1, 2))
-
-
-def hv_ratio(y: np.ndarray) -> np.ndarray:
-    """Ratio of horizontal/vertical edge energy to total edge energy.
-
-    An ANSI T1.801.03-style edge-orientation feature: blur shifts edge
-    energy away from crisp H/V structure.
-    """
-    gx = ndimage.sobel(y, axis=2, mode="nearest")
-    gy = ndimage.sobel(y, axis=1, mode="nearest")
-    magnitude = np.sqrt(gx * gx + gy * gy) + 1e-9
-    angle = np.arctan2(np.abs(gy), np.abs(gx))
-    # "HV" energy: gradient within 0.225 rad of an axis.
-    hv_mask = (angle < 0.225) | (angle > np.pi / 2 - 0.225)
-    hv_energy = (magnitude * hv_mask).sum(axis=(1, 2))
-    total = magnitude.sum(axis=(1, 2))
-    return hv_energy / total
+    return edge_features(y)[0]
 
 
 def temporal_information(y: np.ndarray) -> np.ndarray:
@@ -188,6 +296,10 @@ def temporal_information(y: np.ndarray) -> np.ndarray:
         diff = y[1:] - y[:-1]
         ti[1:] = np.sqrt((diff * diff).mean(axis=(1, 2)))
     return ti
+
+
+#: Feature streams that differ between versions of one clip.
+_LUMA_FIELDS = ("y_mean", "y_std", "si", "hv", "ti")
 
 
 @dataclass
@@ -218,61 +330,65 @@ class FrameFeatures:
     def extract(
         cls,
         script: SceneScript,
-        degradation: Optional[np.ndarray] = None,
-        degradation_seed: int = 7,
-        renderer: Optional[FrameRenderer] = None,
-    ) -> "FrameFeatures":
-        """Render the clip scene by scene and extract features.
+        degradations: Sequence[Optional[np.ndarray]],
+    ) -> "list[FrameFeatures]":
+        """Render the clip once and extract the features of each version.
 
-        ``degradation`` is an optional per-frame strength array (from a
-        codec model); ``None`` extracts pristine reference features.
+        ``degradations`` holds one per-frame strength array per version
+        (from a codec model); ``None`` is the pristine source. Each
+        scene is rendered, blurred and drawn its noise (the
+        :data:`DEGRADATION_SEED` stream) once and every version shares
+        them, so a version's features do not depend on what else is
+        extracted with it. Returns one :class:`FrameFeatures` per entry.
         """
-        renderer = renderer or FrameRenderer(script)
         n = script.n_frames
-        if degradation is not None and len(degradation) != n:
-            raise ValueError(
-                f"degradation length {len(degradation)} != frames {n}"
-            )
-        rng = np.random.default_rng(degradation_seed)
-        y_mean = np.empty(n, dtype=np.float32)
-        y_std = np.empty(n, dtype=np.float32)
-        si = np.empty(n, dtype=np.float32)
-        hv = np.empty(n, dtype=np.float32)
-        ti = np.zeros(n, dtype=np.float32)
+        for strength in degradations:
+            if strength is not None and len(strength) != n:
+                raise ValueError(f"degradation length {len(strength)} != frames {n}")
+        streams = [
+            {name: np.zeros(n, dtype=np.float32) for name in _LUMA_FIELDS}
+            for _ in degradations
+        ]
+        last_frames: list[Optional[np.ndarray]] = [None] * len(degradations)
         u_mean = np.empty(n, dtype=np.float32)
         v_mean = np.empty(n, dtype=np.float32)
+        degraded = any(strength is not None for strength in degradations)
+        rng = np.random.default_rng(DEGRADATION_SEED)
 
         cursor = 0
-        prev_last_frame: Optional[np.ndarray] = None
-        for scene, y, u, v in renderer.iter_scenes():
-            if degradation is not None:
-                strengths = degradation[cursor : cursor + scene.n_frames]
-                y = degrade_stack(y, strengths, rng)
+        for scene, y, u, v in FrameRenderer(script).iter_scenes():
             sl = slice(cursor, cursor + scene.n_frames)
-            y_mean[sl] = y.mean(axis=(1, 2))
-            y_std[sl] = y.std(axis=(1, 2))
-            si[sl] = spatial_information(y)
-            hv[sl] = hv_ratio(y)
-            ti[sl] = temporal_information(y)
-            if prev_last_frame is not None:
-                cut_diff = y[0] - prev_last_frame
-                ti[cursor] = float(np.sqrt((cut_diff * cut_diff).mean()))
             u_mean[sl] = u.mean(axis=(1, 2))
             v_mean[sl] = v.mean(axis=(1, 2))
-            prev_last_frame = y[-1]
+            if degraded:
+                blurred = box_blur(y)
+                noise = rng.standard_normal(y.shape).astype(np.float32)
+            for k, strength in enumerate(degradations):
+                frames = y
+                if strength is not None:
+                    frames = degrade_stack(y, strength[sl], blurred, noise)
+                out = streams[k]
+                out["y_mean"][sl] = frames.mean(axis=(1, 2))
+                out["y_std"][sl] = frames.std(axis=(1, 2))
+                out["si"][sl], out["hv"][sl] = edge_features(frames)
+                out["ti"][sl] = temporal_information(frames)
+                if last_frames[k] is not None:
+                    cut_diff = frames[0] - last_frames[k]
+                    out["ti"][cursor] = float(np.sqrt((cut_diff * cut_diff).mean()))
+                last_frames[k] = frames[-1]
             cursor += scene.n_frames
 
-        return cls(
-            clip_name=script.name,
-            y_mean=y_mean,
-            y_std=y_std,
-            si=si,
-            hv=hv,
-            ti=ti,
-            u_mean=u_mean,
-            v_mean=v_mean,
-            scene_ids=script.scene_ids(),
-        )
+        scene_ids = script.scene_ids()
+        return [
+            cls(
+                clip_name=script.name,
+                u_mean=u_mean.copy(),
+                v_mean=v_mean.copy(),
+                scene_ids=scene_ids.copy(),
+                **out,
+            )
+            for out in streams
+        ]
 
     # ------------------------------------------------------------------
     # temporal feature composition for display sequences

@@ -6,6 +6,7 @@ import pytest
 from repro.video.frames import (
     FrameFeatures,
     FrameRenderer,
+    box_blur,
     degrade_stack,
     spatial_information,
     temporal_information,
@@ -128,44 +129,46 @@ class TestFeatureExtraction:
         assert (temporal_information(stack)[1:] > 0).all()
 
     def test_extract_shapes(self, small_script):
-        features = FrameFeatures.extract(small_script)
+        (features,) = FrameFeatures.extract(small_script, [None])
         n = small_script.n_frames
         for name in ("y_mean", "y_std", "si", "hv", "ti", "u_mean", "v_mean"):
             assert len(getattr(features, name)) == n
         assert features.n_frames == n
 
     def test_scene_cut_produces_large_ti(self, small_script):
-        features = FrameFeatures.extract(small_script)
+        (features,) = FrameFeatures.extract(small_script, [None])
         cut = small_script.scenes[0].n_frames  # first frame of scene 1
         within = features.ti[cut - 5 : cut]
         assert features.ti[cut] > within.mean()
 
     def test_degradation_reduces_si(self, small_script):
-        clean = FrameFeatures.extract(small_script)
+        (clean,) = FrameFeatures.extract(small_script, [None])
         strengths = np.full(small_script.n_frames, 0.5, dtype=np.float32)
-        coded = FrameFeatures.extract(small_script, degradation=strengths)
+        (coded,) = FrameFeatures.extract(small_script, [strengths])
         assert coded.si.mean() < clean.si.mean()
 
     def test_degradation_length_checked(self, small_script):
         with pytest.raises(ValueError):
-            FrameFeatures.extract(small_script, degradation=np.zeros(3))
+            FrameFeatures.extract(small_script, [np.zeros(3)])
 
     def test_degrade_stack_strength_zero_is_identity_blend(self):
         rng = np.random.default_rng(0)
         y = rng.random((4, 16, 16)).astype(np.float32)
-        out = degrade_stack(y, np.zeros(4), rng)
+        noise = rng.standard_normal(y.shape).astype(np.float32)
+        out = degrade_stack(y, np.zeros(4), box_blur(y), noise)
         assert np.allclose(out, y, atol=1e-6)
 
     def test_degrade_stack_validates_shape(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            degrade_stack(np.zeros((4, 8, 8), np.float32), np.zeros(3), rng)
+            y = np.zeros((4, 8, 8), np.float32)
+            degrade_stack(y, np.zeros(3), box_blur(y), rng.standard_normal(y.shape))
 
 
 class TestTiComposition:
     @pytest.fixture(scope="class")
     def features(self):
-        return FrameFeatures.extract(scene_script_for("test-150"))
+        return FrameFeatures.extract(scene_script_for("test-150"), [None])[0]
 
     def test_same_frame_is_zero(self, features):
         assert features.ti_between(10, 10) == 0.0
@@ -208,7 +211,7 @@ class TestTiCompositionAccuracy:
         from repro.video.frames import FrameFeatures, FrameRenderer
 
         script = get_script("test-150")
-        features = FrameFeatures.extract(script)
+        (features,) = FrameFeatures.extract(script, [None])
         renderer = FrameRenderer(script)
         for i, j in ((5, 8), (10, 15), (20, 30), (40, 41)):
             yi, _, _ = renderer.render_frame(i)
