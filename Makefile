@@ -20,11 +20,14 @@ test:
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow and not perf" $(TIMEOUT_OPTS) tests benchmarks
 
-# Feature-kernel guard (a few seconds): the numpy stencils match
-# scipy.ndimage bit for bit, feature digests match the pinned ones, and
-# a cold `repro run` works with scipy blocked. Also part of test-fast.
+# Feature-kernel guard (under ~10 s): the numpy stencils match
+# scipy.ndimage bit for bit, feature digests match the pinned ones, the
+# pooled block-streamed extraction matches the whole-scene oracle and
+# keeps its thread discipline, and a cold `repro run` works with scipy
+# blocked. Also part of test-fast.
 test-kernel:
-	$(PYTHON) -m pytest -x -q $(TIMEOUT_OPTS) tests/test_video_features_kernel.py tests/test_cold_imports.py
+	$(PYTHON) -m pytest -x -q $(TIMEOUT_OPTS) tests/test_video_features_kernel.py \
+		tests/test_video_features_pool.py tests/test_cold_imports.py
 
 # The error-control suite by itself (ARQ/FEC/feedback/chaos-feedback).
 test-recovery:

@@ -30,11 +30,47 @@ in the same order, each pass rounded to float32.
 asked of it: each scene is rendered, blurred and given its degradation
 noise once and every version shares them, and one Sobel pass per
 version and scene serves both SI and HV.
+
+Scenes are independent, so ``extract`` featurises them concurrently:
+the calling thread and a thread pool take scenes in order, one worker
+per CPU the process may use (numpy releases the GIL in these ufuncs
+and reductions). With one CPU or one scene, or in a process-pool
+worker, it runs inline and starts no thread. Inside a scene every
+stage streams blocks of :data:`BLOCK_FRAMES` frames. Per-frame work
+(render, blur, degradation, mean/std, the SI/HV reductions) needs
+nothing outside its block; the time pass of the Sobel stencil and TI
+read one frame either side, so each block carries a one-frame halo,
+which is the edge frame itself at the scene's ends (``nearest``
+padding). The TI across each cut is stitched in after the pool joins,
+from each scene's first and last frame per version.
+
+The result is bit for bit that of a whole-scene pass, one scene after
+another: every element goes through the same float operations in the
+same order, every per-frame reduction runs over the same contiguous
+frame layout, and every random stream is drawn in the same order —
+each scene's own stream by the worker that takes the scene
+(:class:`SceneStream`), the shared :data:`DEGRADATION_SEED` stream
+scene by scene, since a worker takes a scene and draws its piece of
+that stream under one lock. Drawing a stream in pieces gives the
+numbers of one whole draw.
+
+Memory: the calling thread owns every array that grows with a scene or
+the clip; workers allocate only block-sized scratch, and at most one
+scene per worker is in flight. glibc still keeps a few MB per pool
+thread in that thread's own malloc arena after the build, where the
+calling thread cannot reuse them: RSS after building two ``lost``
+versions reads 43–46 MB on two CPUs against 39 MB inline. Workers
+call nothing in :mod:`repro.video.clips` (its caller holds the cache
+lock) and none of the encoders or ``extract`` itself.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -74,6 +110,10 @@ class FrameRenderer:
         self.height = height
         self.width = width
 
+    def stream_scene(self, scene: Scene) -> "SceneStream":
+        """Start rendering one scene; see :class:`SceneStream`."""
+        return SceneStream(self.script.name, scene, self.height, self.width)
+
     def render_scene(self, scene: Scene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Render one scene.
 
@@ -81,49 +121,12 @@ class FrameRenderer:
         ``(n_frames, height, width)`` and the chroma planes are half
         resolution.
         """
-        rng = _scene_rng(self.script.name, scene.scene_id)
-        n, h, w = scene.n_frames, self.height, self.width
-        yy, xx = np.mgrid[0:h, 0:w].astype(np.float32)
-        xx /= w
-        yy /= h
-        t = np.arange(n, dtype=np.float32)[:, None, None]
-
-        # Spatial frequencies grow with detail; phase velocity with motion.
-        f1 = 2.0 + 8.0 * scene.spatial_detail + rng.uniform(0, 1.5)
-        f2 = 3.0 + 10.0 * scene.spatial_detail + rng.uniform(0, 2.0)
-        angle1 = rng.uniform(0, np.pi)
-        angle2 = rng.uniform(0, np.pi)
-        omega1 = 0.05 + 0.45 * scene.motion
-        omega2 = 0.08 + 0.6 * scene.motion
-
-        # Built in place, one float64 operation at a time in the order of
-        # ``brightness + amp1 * g1 + amp2 * g2 + noise``.
-        y = np.add(
-            2 * np.pi * f1 * (np.cos(angle1) * xx + np.sin(angle1) * yy),
-            omega1 * t,
-        )
-        np.sin(y, out=y)
-        g2 = np.subtract(
-            2 * np.pi * f2 * (np.cos(angle2) * xx - np.sin(angle2) * yy),
-            omega2 * t,
-        )
-        np.sin(g2, out=g2)
-        amp1 = 0.22 * (0.3 + 0.7 * scene.spatial_detail)
-        amp2 = 0.13 * (0.3 + 0.7 * scene.spatial_detail)
-        y *= amp1
-        y += scene.brightness
-        g2 *= amp2
-        y += g2
-        y += rng.standard_normal((n, h, w)).astype(np.float32) * 0.015
-        luma = np.empty(y.shape, dtype=np.float32)
-        np.clip(y, 0.0, 1.0, out=luma, casting="same_kind")
-
-        ch, cw = h // 2, w // 2
-        u = np.full((n, ch, cw), 0.5 + scene.chroma_u, dtype=np.float32)
-        v = np.full((n, ch, cw), 0.5 + scene.chroma_v, dtype=np.float32)
-        u += rng.standard_normal((n, ch, cw)).astype(np.float32) * 0.01
-        v += rng.standard_normal((n, ch, cw)).astype(np.float32) * 0.01
-        return luma, u, v
+        stream = self.stream_scene(scene)
+        n = scene.n_frames
+        y = stream.luma(n)
+        u = stream.chroma(0.5 + scene.chroma_u, n)
+        v = stream.chroma(0.5 + scene.chroma_v, n)
+        return y, u, v
 
     def render_frame(self, frame_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Render a single frame (used by exactness tests)."""
@@ -137,11 +140,70 @@ class FrameRenderer:
         local = frame_id - offset
         return y[local], u[local], v[local]
 
-    def iter_scenes(self) -> Iterator[tuple[Scene, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(scene, y, u, v)`` for each scene in order."""
-        for scene in self.script.scenes:
-            y, u, v = self.render_scene(scene)
-            yield scene, y, u, v
+
+class SceneStream:
+    """One scene's frames, rendered block by block from its random stream.
+
+    The scene's stream is drawn in a fixed order: four uniforms (here),
+    then the luma noise of every frame (:meth:`luma`), then the u noise
+    of every frame and then the v noise (:meth:`chroma`). Drawing a
+    stream in pieces gives the numbers of one whole draw, so any split
+    into blocks renders the same frames bit for bit, as long as each
+    method is called for the frames in order.
+    """
+
+    def __init__(self, script_name: str, scene: Scene, height: int, width: int):
+        rng = _scene_rng(script_name, scene.scene_id)
+        yy, xx = np.mgrid[0:height, 0:width].astype(np.float32)
+        xx /= width
+        yy /= height
+        # Spatial frequencies grow with detail; phase velocity with motion.
+        f1 = 2.0 + 8.0 * scene.spatial_detail + rng.uniform(0, 1.5)
+        f2 = 3.0 + 10.0 * scene.spatial_detail + rng.uniform(0, 2.0)
+        angle1 = rng.uniform(0, np.pi)
+        angle2 = rng.uniform(0, np.pi)
+        self._phase1 = 2 * np.pi * f1 * (np.cos(angle1) * xx + np.sin(angle1) * yy)
+        self._phase2 = 2 * np.pi * f2 * (np.cos(angle2) * xx - np.sin(angle2) * yy)
+        self._omega1 = 0.05 + 0.45 * scene.motion
+        self._omega2 = 0.08 + 0.6 * scene.motion
+        self._amp1 = 0.22 * (0.3 + 0.7 * scene.spatial_detail)
+        self._amp2 = 0.13 * (0.3 + 0.7 * scene.spatial_detail)
+        self._brightness = scene.brightness
+        self._chroma_shape = (height // 2, width // 2)
+        self._rng = rng
+        self._rendered = 0
+
+    def luma(self, count: int) -> np.ndarray:
+        """Luma of the next ``count`` frames, float32 in [0, 1]."""
+        start = self._rendered
+        self._rendered += count
+        t = np.arange(start, start + count, dtype=np.float32)[:, None, None]
+        # Built in place, one float64 operation at a time in the order of
+        # ``brightness + amp1 * g1 + amp2 * g2 + noise``.
+        y = np.add(self._phase1, self._omega1 * t)
+        np.sin(y, out=y)
+        g2 = np.subtract(self._phase2, self._omega2 * t)
+        np.sin(g2, out=g2)
+        y *= self._amp1
+        y += self._brightness
+        g2 *= self._amp2
+        y += g2
+        # g2 is spent: the float64 noise draw reuses it.
+        noise = self._rng.standard_normal(out=g2).astype(np.float32)
+        noise *= 0.015
+        y += noise
+        luma = np.empty(y.shape, dtype=np.float32)
+        np.clip(y, 0.0, 1.0, out=luma, casting="same_kind")
+        return luma
+
+    def chroma(self, level: float, count: int) -> np.ndarray:
+        """The next ``count`` frames of a chroma plane around ``level``.
+
+        Call it for every frame of u before the first frame of v.
+        """
+        plane = np.full((count,) + self._chroma_shape, level, dtype=np.float32)
+        plane += self._rng.standard_normal(plane.shape).astype(np.float32) * 0.01
+        return plane
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +325,11 @@ def edge_features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T1.801.03-style edge-orientation feature: blur shifts edge energy
     away from crisp H/V structure.
     """
-    padded = np.pad(y, 1, mode="edge")
+    return _padded_edge_features(np.pad(y, 1, mode="edge"))
+
+
+def _padded_edge_features(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`edge_features` of a stack padded by one sample along every axis."""
     gx = _sobel_padded(padded, 2)
     gy = _sobel_padded(padded, 1)
     magnitude = np.sqrt(gx * gx + gy * gy)
@@ -300,6 +366,196 @@ def temporal_information(y: np.ndarray) -> np.ndarray:
 
 #: Feature streams that differ between versions of one clip.
 _LUMA_FIELDS = ("y_mean", "y_std", "si", "hv", "ti")
+
+#: Frames per block. Every stage of a scene streams blocks of this
+#: many frames, so the scratch of a scene's worker does not grow with
+#: the scene. Measured on the ``lost`` and ``dark`` builds: smaller
+#: blocks pay more per-call overhead, larger ones only more memory.
+BLOCK_FRAMES = 32
+
+
+def _worker_count() -> int:
+    """Threads a clip build may use: one per CPU this process may run on.
+
+    A process started by :mod:`multiprocessing` is one of a pool that
+    its parent sized to the CPUs, and every pool worker builds the same
+    clips at the same moment, so it builds on its own thread alone.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _luma_windows(
+    stream: SceneStream, n: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, window)`` per block of a scene's luma.
+
+    ``window`` holds frames ``start - 1`` to ``stop`` of the scene: the
+    block and a one-frame halo each side, the edge frame itself at the
+    scene's ends (``nearest`` padding along time).
+    """
+    block = stream.luma(min(BLOCK_FRAMES, n))
+    before = block[:1]
+    start = 0
+    while block is not None:
+        stop = start + len(block)
+        following = stream.luma(min(BLOCK_FRAMES, n - stop)) if stop < n else None
+        after = block[-1:] if following is None else following[:1]
+        yield start, stop, np.concatenate((before, block, after))
+        before, block, start = block[-1:], following, stop
+
+
+class _ClipPass:
+    """The state of one :meth:`FrameFeatures.extract` call.
+
+    The calling thread owns every array that grows with a scene or the
+    clip: the output streams, one :data:`DEGRADATION_SEED` noise buffer
+    per worker and each version's first and last frame per scene.
+    Workers write disjoint slices of them and allocate only block-sized
+    scratch.
+    """
+
+    def __init__(
+        self,
+        script: SceneScript,
+        degradations: Sequence[Optional[np.ndarray]],
+        workers: int,
+    ):
+        n = script.n_frames
+        for strength in degradations:
+            if strength is not None and len(strength) != n:
+                raise ValueError(f"degradation length {len(strength)} != frames {n}")
+        self.script = script
+        self.renderer = FrameRenderer(script)
+        self.degradations = list(degradations)
+        self.workers = workers
+        self.starts = np.cumsum([0] + [scene.n_frames for scene in script.scenes])
+        self.streams = [
+            {name: np.zeros(n, dtype=np.float32) for name in _LUMA_FIELDS}
+            for _ in degradations
+        ]
+        self.u_mean = np.empty(n, dtype=np.float32)
+        self.v_mean = np.empty(n, dtype=np.float32)
+        shape = (self.renderer.height, self.renderer.width)
+        # [version, scene, first/last] frame, for the TI across each cut.
+        self.ends = np.empty(
+            (len(degradations), len(script.scenes), 2) + shape, dtype=np.float32
+        )
+        self.noise_buffers: list[Optional[np.ndarray]] = [None] * workers
+        if any(strength is not None for strength in degradations):
+            longest = max(scene.n_frames for scene in script.scenes)
+            self.noise_buffers = [
+                np.empty((longest,) + shape, dtype=np.float32) for _ in range(workers)
+            ]
+        self.rng = np.random.default_rng(DEGRADATION_SEED)
+        self.draw = np.empty((BLOCK_FRAMES,) + shape, dtype=np.float64)
+        self.lock = threading.Lock()
+        self.next_scene = 0
+        self.error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        """Featurise every scene: the calling thread and ``workers - 1`` more."""
+        if self.workers <= 1:
+            self.work(0)
+        else:
+            with ThreadPoolExecutor(
+                self.workers - 1, thread_name_prefix="frame-features"
+            ) as pool:
+                for slot in range(1, self.workers):
+                    pool.submit(self.work, slot)
+                self.work(0)
+        error, self.error = self.error, None  # no cycle through the traceback
+        if error is not None:
+            raise error
+        self.stitch_cuts()
+
+    def work(self, slot: int) -> None:
+        """Take scenes in order until none is left or one has failed.
+
+        Taking a scene and drawing its noise happen under one lock, so
+        the shared stream is drawn scene by scene in order whichever
+        worker takes which scene. The first error is kept for
+        :meth:`run` to raise; the other workers stop after their
+        current scene.
+        """
+        buffer = self.noise_buffers[slot]
+        try:
+            while True:
+                with self.lock:
+                    i = self.next_scene
+                    if self.error is not None or i == len(self.script.scenes):
+                        return
+                    self.next_scene += 1
+                    noise = self.noise(i, buffer)
+                self.scene(i, noise)
+        except BaseException as exc:  # re-raised by run() after the join
+            with self.lock:
+                if self.error is None:
+                    self.error = exc
+
+    def noise(self, i: int, buffer: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Scene ``i``'s quantization noise, the next piece of the shared stream.
+
+        Drawn into ``buffer`` in blocks through a float64 scratch, each
+        rounded to float32 as a whole draw would be.
+        """
+        if buffer is None:
+            return None
+        n = self.script.scenes[i].n_frames
+        noise = buffer[:n]
+        for start in range(0, n, BLOCK_FRAMES):
+            block = self.draw[: min(BLOCK_FRAMES, n - start)]
+            self.rng.standard_normal(out=block)
+            noise[start : start + len(block)] = block
+        return noise
+
+    def scene(self, i: int, noise: Optional[np.ndarray]) -> None:
+        """Every feature of scene ``i`` except the TI across its opening cut."""
+        scene = self.script.scenes[i]
+        n, first = scene.n_frames, self.starts[i]
+        stream = self.renderer.stream_scene(scene)
+        for start, stop, window in _luma_windows(stream, n):
+            halo = np.clip(np.arange(start - 1, stop + 1), 0, n - 1)
+            if noise is not None:
+                blurred = box_blur(window)
+                grain = noise[halo]
+            frames_out = slice(first + start, first + stop)
+            for k, strength in enumerate(self.degradations):
+                frames = window
+                if strength is not None:
+                    frames = degrade_stack(window, strength[first + halo], blurred, grain)
+                core = frames[1:-1]
+                out = self.streams[k]
+                out["y_mean"][frames_out] = core.mean(axis=(1, 2))
+                out["y_std"][frames_out] = core.std(axis=(1, 2))
+                out["si"][frames_out], out["hv"][frames_out] = _padded_edge_features(
+                    np.pad(frames, ((0, 0), (1, 1), (1, 1)), mode="edge")
+                )
+                # A scene's first frame differs from its edge copy by 0.
+                out["ti"][frames_out] = temporal_information(frames[:-1])[1:]
+                if start == 0:
+                    self.ends[k, i, 0] = core[0]
+                if stop == n:
+                    self.ends[k, i, 1] = core[-1]
+        for level, means in (
+            (0.5 + scene.chroma_u, self.u_mean),
+            (0.5 + scene.chroma_v, self.v_mean),
+        ):
+            for start in range(0, n, BLOCK_FRAMES):
+                count = min(BLOCK_FRAMES, n - start)
+                plane = stream.chroma(level, count)
+                means[first + start : first + start + count] = plane.mean(axis=(1, 2))
+
+    def stitch_cuts(self) -> None:
+        """TI across each scene cut: a scene's first frame against the last before it."""
+        for k, out in enumerate(self.streams):
+            for i in range(1, len(self.script.scenes)):
+                cut_diff = self.ends[k, i, 0] - self.ends[k, i - 1, 1]
+                out["ti"][self.starts[i]] = float(np.sqrt((cut_diff * cut_diff).mean()))
 
 
 @dataclass
@@ -339,55 +595,23 @@ class FrameFeatures:
         scene is rendered, blurred and drawn its noise (the
         :data:`DEGRADATION_SEED` stream) once and every version shares
         them, so a version's features do not depend on what else is
-        extracted with it. Returns one :class:`FrameFeatures` per entry.
+        extracted with it. Scenes are featurised concurrently, one
+        thread per usable CPU (see the module docstring); the result
+        does not depend on the thread count. Returns one
+        :class:`FrameFeatures` per entry.
         """
-        n = script.n_frames
-        for strength in degradations:
-            if strength is not None and len(strength) != n:
-                raise ValueError(f"degradation length {len(strength)} != frames {n}")
-        streams = [
-            {name: np.zeros(n, dtype=np.float32) for name in _LUMA_FIELDS}
-            for _ in degradations
-        ]
-        last_frames: list[Optional[np.ndarray]] = [None] * len(degradations)
-        u_mean = np.empty(n, dtype=np.float32)
-        v_mean = np.empty(n, dtype=np.float32)
-        degraded = any(strength is not None for strength in degradations)
-        rng = np.random.default_rng(DEGRADATION_SEED)
-
-        cursor = 0
-        for scene, y, u, v in FrameRenderer(script).iter_scenes():
-            sl = slice(cursor, cursor + scene.n_frames)
-            u_mean[sl] = u.mean(axis=(1, 2))
-            v_mean[sl] = v.mean(axis=(1, 2))
-            if degraded:
-                blurred = box_blur(y)
-                noise = rng.standard_normal(y.shape).astype(np.float32)
-            for k, strength in enumerate(degradations):
-                frames = y
-                if strength is not None:
-                    frames = degrade_stack(y, strength[sl], blurred, noise)
-                out = streams[k]
-                out["y_mean"][sl] = frames.mean(axis=(1, 2))
-                out["y_std"][sl] = frames.std(axis=(1, 2))
-                out["si"][sl], out["hv"][sl] = edge_features(frames)
-                out["ti"][sl] = temporal_information(frames)
-                if last_frames[k] is not None:
-                    cut_diff = frames[0] - last_frames[k]
-                    out["ti"][cursor] = float(np.sqrt((cut_diff * cut_diff).mean()))
-                last_frames[k] = frames[-1]
-            cursor += scene.n_frames
-
+        job = _ClipPass(script, degradations, min(_worker_count(), len(script.scenes)))
+        job.run()
         scene_ids = script.scene_ids()
         return [
             cls(
                 clip_name=script.name,
-                u_mean=u_mean.copy(),
-                v_mean=v_mean.copy(),
+                u_mean=job.u_mean.copy(),
+                v_mean=job.v_mean.copy(),
                 scene_ids=scene_ids.copy(),
                 **out,
             )
-            for out in streams
+            for out in job.streams
         ]
 
     # ------------------------------------------------------------------

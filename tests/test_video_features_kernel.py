@@ -4,9 +4,12 @@ Three layers of evidence:
 
 * the stencils against ``scipy.ndimage`` as an oracle (skipped when
   scipy is not installed), on adversarial float32 stacks;
-* SHA-256 digests of every feature array of six clip versions, pinned
-  from the ``scipy.ndimage`` implementation the kernel replaced — so
-  every VQM score, cache key and result built on them is unchanged;
+* SHA-256 digests of every feature array of eight clip versions, pinned
+  from the whole-scene implementations the kernel replaced (the
+  ``scipy.ndimage`` one for ``lost`` and ``test-300``, the whole-scene
+  numpy one, equal to it, for ``dark``) — so every VQM score, cache key
+  and result built on them is unchanged. ``dark`` has the longest
+  scenes (up to 364 frames): many frame blocks, every halo path;
 * one multi-version :meth:`FrameFeatures.extract` pass equals separate
   single-version passes, field by field.
 """
@@ -82,7 +85,7 @@ def feature_digest(features: FrameFeatures) -> str:
     return digest.hexdigest()
 
 
-#: Digests of the ``scipy.ndimage`` implementation, per (clip, codec, Mbps).
+#: Digests of the whole-scene implementations, per (clip, codec, Mbps).
 PINNED = {
     ("lost", None, None): "55f7be42a7a1ecdedf925b1a9f4f98724d934799e47d9f79d0a7a1cefed717e9",
     ("lost", "mpeg1", 1.0): "7b03f430f330ab66c61b0badffa7be2502a529dc72c72afe472b49bbf7156e74",
@@ -90,6 +93,8 @@ PINNED = {
     ("lost", "mpeg1", 1.7): "fa5e27b0760e00bc9601274ae4795be04d36d46f8ee276b0455a833470df8545",
     ("lost", "wmv", None): "6735a09fd827a563ab3aedc90b7074de62b274d5ca5d4a3b2d68e8aa607636b9",
     ("test-300", "mpeg1", 1.5): "7d7628cdebf6a8fd22dcd20fe2f16650eae0ed861d5731ad9bc73752d6efc182",
+    ("dark", None, None): "401c5298abbda304e5b2fd5098c84406659d1e69e5756c570133cb608c2c8de4",
+    ("dark", "mpeg1", 1.7): "f300dbe48177a0388851f1fe12dd0d7667a43565ac2cf0cda0d2a12c5d831ed6",
 }
 
 
@@ -100,15 +105,21 @@ def strengths(clip: str, codec, rate_mbps):
     return encode_clip(clip, codec, rate).quantizer_track()
 
 
+def assert_pinned(clip: str) -> None:
+    """All pinned versions of ``clip``, built in one pass, match their pins."""
+    keys = [key for key in PINNED if key[0] == clip]
+    built = FrameFeatures.extract(get_script(clip), [strengths(*key) for key in keys])
+    assert {key: feature_digest(f) for key, f in zip(keys, built)} == {
+        key: PINNED[key] for key in keys
+    }
+
+
 class TestPinnedFeatureDigests:
     def test_lost_versions_in_one_pass(self):
-        keys = [key for key in PINNED if key[0] == "lost"]
-        built = FrameFeatures.extract(
-            get_script("lost"), [strengths(*key) for key in keys]
-        )
-        assert {key: feature_digest(f) for key, f in zip(keys, built)} == {
-            key: PINNED[key] for key in keys
-        }
+        assert_pinned("lost")
+
+    def test_dark_versions_in_one_pass(self):
+        assert_pinned("dark")
 
     def test_single_version(self):
         key = ("test-300", "mpeg1", 1.5)
